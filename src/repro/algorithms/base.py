@@ -184,6 +184,7 @@ class SchedulerResult:
             "score_computations": self.score_computations,
             "user_computations": self.user_computations,
             "assignments_examined": self.assignments_examined,
+            "phi_bound_declined": int(self.counters.get("extra.phi_bound_declined", 0)),
             "service": self.service or "-",
         }
 

@@ -38,12 +38,18 @@ cap on any fresh marginal score in the interval, derived from the interest
 structure rather than from previously computed scores.  When an interval
 passes the stale-head check but its structural bound is still safely below
 Φ, no entry in it can become the argmax and the whole refresh walk is
-skipped.  The bound is engine-side and identical across scoring backends,
-storage tiers and scoring plans, so schedules, utilities, scores and
-counter totals remain bit-identical across those axes — the bound only
-lowers the number of score recomputations performed.  Construct the
-scheduler with ``use_interval_bounds=False`` to disable the structural
-check (the benchmark baseline).
+skipped.  The bound only pays where the user×event graph has repeated
+structure, so the engine gates it on the mined class ratio: when the
+interest-pattern classes number more than
+:data:`~repro.core.scoring.PHI_BOUND_MAX_CLASS_RATIO` of the users (or their
+pattern matrix is over the memory budget) the bound is declined, returns
+``+inf`` and INC makes the paper's own refresh walks.  The gate and the bound
+are engine-side and depend only on instance data and engine state, so
+schedules, utilities, scores and counter totals remain bit-identical across
+scoring backends, storage tiers and scoring plans — the bound only lowers the
+number of score recomputations performed.  Construct the scheduler with
+``use_interval_bounds=False`` to disable the structural check (the benchmark
+baseline).
 """
 
 from __future__ import annotations

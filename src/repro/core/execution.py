@@ -1164,8 +1164,10 @@ class ScoringPlan:
         needs the same equivalence classes the ``blocked`` plan mines;
         returning them here lets the engine reuse the plan's pass instead of
         mining twice.  ``None`` (the default) makes the engine mine lazily
-        on first use — the miner is deterministic, so both routes yield the
-        same decomposition and identical bound values.
+        on first use, stopping early once the bound is sure to be declined —
+        the miner is deterministic, so both routes reach the same decision
+        and, where the bound is kept, the same decomposition and identical
+        bound values.
         """
         return None
 

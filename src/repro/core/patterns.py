@@ -14,16 +14,18 @@ chunk-size memory envelope).  Two consumers build on it:
 
 * the scoring engine's structural per-interval Φ bound
   (:meth:`~repro.core.scoring.ScoringEngine.interval_score_bound`) — one
-  genuine term per pattern instead of one per user;
-* the ``blocked`` scoring plan and the BBK-style dense-block analysis of
-  :mod:`repro.analysis.blocks`, which re-exports this module's public names
-  as part of the block-decomposition subsystem.
+  genuine term per pattern instead of one per user.  The engine only needs
+  to know whether the classes compress the users enough, so it mines with a
+  ``max_classes`` cap and stops as soon as the partial partition exceeds it;
+* the ``blocked`` scoring plan of :mod:`repro.analysis.blocks`, which
+  re-exports this module's public names as part of the block-decomposition
+  subsystem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
@@ -128,11 +130,41 @@ def _canonicalise(labels: np.ndarray) -> InterestStructure:
     )
 
 
+def _refinement_blocks(
+    event_rows: EventRowSource,
+    sigma: np.ndarray,
+    comp: np.ndarray,
+    chunk_size: int,
+    probe: bool,
+) -> Iterator[np.ndarray]:
+    """The attribute rows to refine by, cheapest first: σᵀ, compᵀ, then µ.
+
+    The ``(|U|, |T|)`` σ and comp arrays are in memory and small, so they
+    come first.  With ``probe`` they come in doubling slices (1, 2, 4, …
+    rows) so an early-exiting caller can stop after a single row — on an
+    instance without repeated structure one activity row usually separates
+    every user already; without it they come as one block, which a full
+    pass sorts fastest.  The µ event blocks follow, streamed ``chunk_size``
+    events at a time.
+    """
+    static_rows = np.concatenate((sigma, comp), axis=1).T
+    start, size = 0, 1 if probe else static_rows.shape[0]
+    while start < static_rows.shape[0]:
+        yield static_rows[start : start + size]
+        start, size = start + size, 2 * size
+    num_events = event_rows.num_rows
+    step = max(1, chunk_size)
+    for start in range(0, num_events, step):
+        mu_rows, _ = event_rows.block(start, min(start + step, num_events))
+        yield mu_rows
+
+
 def mine_structure(
     event_rows: EventRowSource,
     sigma: np.ndarray,
     comp: np.ndarray,
     chunk_size: int,
+    max_classes: Optional[int] = None,
 ) -> InterestStructure:
     """Mine the equivalence classes from prebuilt kernel inputs.
 
@@ -141,20 +173,28 @@ def mine_structure(
     kernels); ``sigma`` and ``comp`` are the ``(|U|, |T|)`` static arrays of
     :func:`~repro.core.scoring.build_static_arrays`.  The result is
     deterministic and storage-independent: every registered storage densifies
-    to the same float values, and first-occurrence canonical numbering does
-    not depend on chunk boundaries.
+    to the same float values, and the final partition and its
+    first-occurrence canonical numbering depend neither on chunk boundaries
+    nor on the order the attribute rows are refined in.
+
+    Refinement only ever splits classes, so the class count after any subset
+    of the rows is a lower bound on the final count.  Mining stops once every
+    user is its own class (nothing left to split) and, when ``max_classes``
+    is given, as soon as the count exceeds it.  An early stop of the second
+    kind returns the partial partition: a coarsening of the exact classes
+    whose ``num_classes`` already exceeds ``max_classes`` — enough for a
+    caller that only asks whether the structure compresses that far.
     """
     num_users = sigma.shape[0]
     labels = np.zeros(num_users, dtype=np.intp)
-    num_events = event_rows.num_rows
-    step = max(1, chunk_size)
-    for start in range(0, num_events, step):
-        stop = min(start + step, num_events)
-        mu_rows, _ = event_rows.block(start, stop)
-        labels = _refine_labels(labels, mu_rows)
-    # σ and comp are (|U|, |T|) with small |T|: one refinement block each.
-    labels = _refine_labels(labels, np.ascontiguousarray(sigma.T))
-    labels = _refine_labels(labels, np.ascontiguousarray(comp.T))
+    if num_users == 0:
+        return _canonicalise(labels)
+    limit = num_users if max_classes is None else min(max_classes + 1, num_users)
+    probe = max_classes is not None
+    for block in _refinement_blocks(event_rows, sigma, comp, chunk_size, probe):
+        labels = _refine_labels(labels, block)
+        if int(labels.max()) + 1 >= limit:
+            break
     return _canonicalise(labels)
 
 

@@ -85,6 +85,17 @@ from repro.core.storage import (
     StoreEventRows,
 )
 
+#: Largest classes/users ratio at which the structural Φ bound
+#: (:meth:`ScoringEngine.interval_score_bound`) is evaluated; above it the
+#: engine declines the bound.  Chosen from a sweep of INC (k = |T|,
+#: ``plan="blocked"``) with the bound on and off on patterned instances of
+#: 4000 users × 120 events × 24 intervals, 3 seeds, median of 11 runs each:
+#: the off/on wall-time ratio is 1.03–1.22 at classes/users ≤ 0.05, 0.97–1.02
+#: at 0.10–0.17 and 0.87–0.98 from 0.25 up.  The threshold sits in the
+#: break-even band, so the bound is kept where it wins and declined where it
+#: loses.
+PHI_BOUND_MAX_CLASS_RATIO = 0.15
+
 
 def build_static_arrays(instance: SESInstance):
     """The kernels' static per-instance inputs: ``(comp, sigma, values, costs)``.
@@ -225,12 +236,12 @@ class ScoringEngine:
         self._applied_cost = 0.0
         self._events_applied: Dict[int, int] = {}
 
-        # Statics of the per-interval fresh-score upper bound (computed once,
-        # lazily, by _ensure_bound_statics) and the per-interval bound cache
-        # (invalidated by apply()/reset() for the touched interval).
+        # Statics of the per-interval fresh-score upper bound (decided and
+        # computed once, lazily, by _ensure_bound_statics; the structure
+        # stays None when the bound is declined) and the per-interval bound
+        # cache (invalidated by apply()/reset() for the touched interval).
         self._bound_ready = False
         self._bound_max_value: Optional[np.ndarray] = None
-        self._bound_max_value_mu: Optional[np.ndarray] = None
         self._bound_structure: Optional[InterestStructure] = None
         self._bound_pattern_mu: Optional[np.ndarray] = None
         self._bound_cache: Dict[int, float] = {}
@@ -543,147 +554,139 @@ class ScoringEngine:
         return float(self._score_noise_tol[interval_index])
 
     def _ensure_bound_statics(self) -> None:
-        """Static inputs of :meth:`interval_score_bound` (one streamed pass, lazy).
+        """Decide whether :meth:`interval_score_bound` pays, and build its statics.
 
-        Per-user statics: ``max_value_mu[u] = max_e value_e · µ_{u,e}`` caps
-        the value-weighted interest any single candidate event can add for
-        user ``u``; ``max_value[u] = max {value_e : µ_{u,e} > 0}`` caps the
-        per-user attendance value outright.  Both are exact maxima (max is
-        rounding free), streamed over event blocks under the chunk-size
-        memory guard, so they are identical across backends, storages and
-        chunkings.
-
-        Structural statics: the interest-pattern equivalence classes
+        Decided once per engine, on first use.  The bound needs the
+        interest-pattern equivalence classes
         (:func:`~repro.core.patterns.mine_structure`, reused from the active
         plan when it already mined them) and the ``(|E|, P)`` pattern matrix
-        of ``value·µ`` representative columns, which turn the bound's
-        per-user event maximum into a *per-event* sum over patterns — far
-        tighter (see :meth:`interval_score_bound`).  The pattern matrix is
-        only materialised while ``|E| · P`` fits the library's chunk memory
-        budget; past it the bound falls back to the per-user cap, a
-        deterministic rule (it depends only on instance shape), so bound
-        values never depend on backend, storage or plan.
+        of representative µ columns.  It is *declined* — recorded once under
+        the ``phi_bound_declined`` extra counter, after which every call
+        returns ``+inf`` — when the classes do not compress the users to at
+        most :data:`PHI_BOUND_MAX_CLASS_RATIO` of ``|U|``, or when the
+        pattern matrix would exceed the library's chunk memory budget.
+        Without repeated structure the bound costs about one per-user pass
+        per interval and skips little, so it costs INC more than it saves.
+        Mining stops as soon as the partial class count passes the cap (see
+        :func:`~repro.core.patterns.mine_structure`), so declining is cheap.
+        The decision depends only on instance data, so skip decisions — and
+        counter totals — stay identical across backends, storages and
+        plans.
+
+        The last static, ``max_value[u] = max {value_e : µ_{u,e} > 0}``,
+        caps the attendance value of users with no competing or scheduled
+        interest.  It is an exact maximum (max is rounding free), streamed
+        over event blocks under the chunk-size memory guard, so it is
+        identical across backends, storages and chunkings.
         """
         if self._bound_ready:
             return
+        self._bound_ready = True
         num_users = self._instance.num_users
         num_events = self._instance.num_events
-        max_value_mu = np.zeros(num_users, dtype=np.float64)
-        max_value = np.zeros(num_users, dtype=np.float64)
+        max_classes = int(PHI_BOUND_MAX_CLASS_RATIO * num_users)
+        if num_events:
+            max_classes = min(max_classes, DEFAULT_CHUNK_ELEMENTS // num_events)
         source = self._event_rows
         if source is None:
             source = build_event_rows(self._store, self._values)
         structure = self._plan_impl.mined_structure()
         if structure is None:
             structure = mine_structure(
-                source, self._sigma, self._comp, self._execution.chunk_size
+                source,
+                self._sigma,
+                self._comp,
+                self._execution.chunk_size,
+                max_classes=max_classes,
             )
-        pattern_mu: Optional[np.ndarray] = None
-        if structure.num_classes * num_events <= DEFAULT_CHUNK_ELEMENTS:
-            pattern_mu = np.empty((num_events, structure.num_classes), dtype=np.float64)
+        if structure.num_classes > max_classes:
+            self._counter.bump("phi_bound_declined")
+            return
+        max_value = np.zeros(num_users, dtype=np.float64)
+        pattern_mu = np.empty((num_events, structure.num_classes), dtype=np.float64)
         step = max(1, self._execution.chunk_size)
         for start in range(0, num_events, step):
             stop = min(start + step, num_events)
-            mu_rows, value_mu_rows = source.block(start, stop)
-            np.maximum(max_value_mu, value_mu_rows.max(axis=0), out=max_value_mu)
+            mu_rows, _ = source.block(start, stop)
             block_values = np.where(
                 mu_rows > 0.0, self._values[start:stop, np.newaxis], 0.0
             )
             np.maximum(max_value, block_values.max(axis=0), out=max_value)
-            if pattern_mu is not None:
-                pattern_mu[start:stop] = mu_rows[:, structure.representatives]
-        self._bound_max_value_mu = max_value_mu
+            pattern_mu[start:stop] = mu_rows[:, structure.representatives]
         self._bound_max_value = max_value
         self._bound_structure = structure
         self._bound_pattern_mu = pattern_mu
-        self._bound_ready = True
 
     def interval_score_bound(self, interval_index: int) -> float:
         """Sound upper bound on any *fresh* assignment score at one interval.
 
         For every candidate event ``e`` and user ``u`` the fresh per-user
         attendance term is ``σ·(SV + v_e·µ)/(C + S + µ)`` with ``C`` the
-        competing sum and ``S``/``SV`` the interval's scheduled sums.  It is
-        bounded (in exact arithmetic) by ``σ·SV/(C+S)`` plus a gain cap:
-
-        * **Structural bound** (the block-decomposition tier, used while the
-          ``(|E|, P)`` pattern matrix fits the memory budget): the exact
-          per-user gain rewrites to ``σ·(µ/(C+S+µ))·(v_e − SV/(C+S))`` and
-          is bounded by ``σ·min(µ/(C+S), 1)·max(0, v_e − SV/(C+S))`` — one
-          term per *pattern class* scaled by its multiplicity, maximised
-          over the not-yet-scheduled events.  Tight: the only slack is
-          ``(C+S+µ)/(C+S)`` per user, so on lightly-interested users the
-          bound hugs the best event's true gain, and saturated users
-          (``SV/(C+S) ≥ v_e``) contribute nothing.
-        * **Per-user fallback** (pattern matrix over budget):
-          ``σ·min(max_value, max_value_mu/(C+S))`` per user, which replaces
-          the event maximum of a sum by a sum of per-user maxima (looser,
-          but |U|-cheap and memory free).
-
-        Users with ``C+S = 0`` have zero scheduled sums and contribute at
-        most ``σ·max_value`` under either tier.  Summing and subtracting the
-        interval utility bounds every fresh score at this interval, however
-        the schedule got here.
+        competing sum and ``S``/``SV`` the interval's scheduled sums.  The
+        exact per-user gain rewrites to ``σ·(µ/(C+S+µ))·(v_e − SV/(C+S))``
+        and is bounded (in exact arithmetic) by
+        ``σ·min(µ/(C+S), 1)·max(0, v_e − SV/(C+S))`` — one term per
+        *pattern class* scaled by its multiplicity, maximised over the
+        not-yet-scheduled events.  Tight: the only slack is
+        ``(C+S+µ)/(C+S)`` per user, so on lightly-interested users the bound
+        hugs the best event's true gain, and saturated users
+        (``SV/(C+S) ≥ v_e``) contribute nothing.  Users with ``C+S = 0``
+        have zero scheduled sums and contribute at most ``σ·max_value``.
+        Adding ``σ·SV/(C+S)`` and subtracting the interval utility bounds
+        every fresh score at this interval, however the schedule got here.
 
         Unlike the stale scores the incremental schedulers prune against
         (frozen at computation time), this bound *tightens* as the interval's
-        schedule grows — INC and HOR-I use it to skip entire interval walks
-        whose ceiling is already below Φ.  The bound depends only on engine
-        state and the deterministic mined structure, so skip decisions — and
-        therefore counter totals — are identical across backends, storages
-        and plans.  Callers must leave a floating-point margin (a few
-        :meth:`score_noise_tolerance`) between the bound and Φ.  Cached per
-        interval until :meth:`apply` touches the interval; each fresh
-        evaluation is recorded under the ``phi_bound_evaluations`` extra
-        counter.
+        schedule grows — INC uses it to skip entire interval walks whose
+        ceiling is already below Φ.  On instances without enough repeated
+        structure the bound is declined (see :meth:`_ensure_bound_statics`)
+        and this returns ``+inf`` without evaluating anything.  The bound
+        depends only on engine state and the deterministic mined structure,
+        so skip decisions — and therefore counter totals — are identical
+        across backends, storages and plans.  Callers must leave a
+        floating-point margin (a few :meth:`score_noise_tolerance`) between
+        the bound and Φ.  Cached per interval until :meth:`apply` touches the
+        interval; each fresh evaluation is recorded under the
+        ``phi_bound_evaluations`` extra counter.
         """
         cached = self._bound_cache.get(interval_index)
         if cached is not None:
             return cached
         self._ensure_bound_statics()
+        structure = self._bound_structure
+        if structure is None:
+            return float("inf")
         self._counter.bump("phi_bound_evaluations")
         sigma = self._sigma[:, interval_index]
         denominator = self._comp[:, interval_index] + self._scheduled_interest[interval_index]
         scheduled_term = _guarded_divide(
             sigma * self._scheduled_value_interest[interval_index], denominator
         )
-        if self._bound_pattern_mu is not None:
-            structure = self._bound_structure
-            representatives = structure.representatives
-            class_denominator = denominator[representatives]
-            inverse_denominator = _guarded_divide(
-                np.ones_like(class_denominator), class_denominator
-            )
-            # (|E|, P): min(µ/(C+S), 1) per class — zero-denominator classes
-            # drop out here and are covered by the max_value term below.
-            ratios = np.minimum(self._bound_pattern_mu * inverse_denominator, 1.0)
-            # (|E|, P): max(0, v_e − SV/(C+S)) — the headroom the interval's
-            # current schedule leaves a new event for this class's users.
-            headroom = np.maximum(
-                self._values[:, np.newaxis]
-                - _guarded_divide(
-                    self._scheduled_value_interest[interval_index][representatives],
-                    class_denominator,
-                ),
-                0.0,
-            )
-            weights = structure.counts * sigma[representatives]
-            per_event = (ratios * headroom) @ weights
-            if self._events_applied:
-                per_event[list(self._events_applied)] = -np.inf
-            peak = float(per_event.max()) if per_event.size else float("-inf")
-            zero_denominator = denominator <= 0.0
-            gain_total = peak + float(
-                (sigma * self._bound_max_value)[zero_denominator].sum()
-            )
-        else:
-            gain_cap = _guarded_divide(self._bound_max_value_mu, denominator)
-            gain = np.where(
-                denominator > 0.0,
-                np.minimum(self._bound_max_value, gain_cap),
-                self._bound_max_value,
-            )
-            gain_total = float((sigma * gain).sum())
+        representatives = structure.representatives
+        class_denominator = denominator[representatives]
+        inverse_denominator = _guarded_divide(
+            np.ones_like(class_denominator), class_denominator
+        )
+        # (|E|, P): min(µ/(C+S), 1) per class — zero-denominator classes
+        # drop out here and are covered by the max_value term below.
+        ratios = np.minimum(self._bound_pattern_mu * inverse_denominator, 1.0)
+        # (|E|, P): max(0, v_e − SV/(C+S)) — the headroom the interval's
+        # current schedule leaves a new event for this class's users.
+        headroom = np.maximum(
+            self._values[:, np.newaxis]
+            - _guarded_divide(
+                self._scheduled_value_interest[interval_index][representatives],
+                class_denominator,
+            ),
+            0.0,
+        )
+        weights = structure.counts * sigma[representatives]
+        per_event = (ratios * headroom) @ weights
+        if self._events_applied:
+            per_event[list(self._events_applied)] = -np.inf
+        peak = float(per_event.max()) if per_event.size else float("-inf")
+        zero_denominator = denominator <= 0.0
+        gain_total = peak + float((sigma * self._bound_max_value)[zero_denominator].sum())
         bound = float(
             scheduled_term.sum() + gain_total - self._interval_utility[interval_index]
         )

@@ -10,9 +10,12 @@ Four contracts of the structure-exploiting scoring work:
   counter totals match the ``direct`` reference, including on instances
   large enough that NumPy's pairwise-summation tree would expose a
   wrong-layout expansion (the regression behind the ``take()`` gather);
-* **The structural Φ bound is sound** — it never under-estimates the best
-  score of its interval, under a fresh engine and after assignments, so the
-  INC/HOR-I interval skips cannot change one scheduled assignment;
+* **The structural Φ bound is sound and gated** — it never under-estimates
+  the best score of its interval, under a fresh engine and after
+  assignments, so INC's interval skips cannot change one scheduled
+  assignment; on instances whose classes do not compress the users it is
+  declined after an early-exit mining pass that reaches the same decision
+  as full mining;
 * **The plan registry behaves like the backend registry** — registration,
   lookup, catalogue, builtin protection and non-bulk pinning.
 """
@@ -23,14 +26,9 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_random_instance
-from repro.algorithms.hor_i import HorIScheduler
 from repro.algorithms.inc import IncScheduler
 from repro.algorithms.registry import run_scheduler
-from repro.analysis.blocks import (
-    BlockedPlan,
-    greedy_dense_blocks,
-    mine_interest_structure,
-)
+from repro.analysis.blocks import BlockedPlan, mine_interest_structure
 from repro.core.errors import SolverError
 from repro.core.execution import (
     ExecutionConfig,
@@ -42,7 +40,13 @@ from repro.core.execution import (
     unregister_plan,
 )
 from repro.core.instance import SESInstance
-from repro.core.scoring import ScoringEngine, build_static_arrays
+from repro.core.patterns import mine_structure
+from repro.core.scoring import (
+    PHI_BOUND_MAX_CLASS_RATIO,
+    ScoringEngine,
+    build_event_rows,
+    build_static_arrays,
+)
 
 SCHEDULERS = ("ALG", "INC", "HOR", "HOR-I", "TOP")
 
@@ -71,6 +75,13 @@ def duplicate_heavy_instance(
         competing_interest=pattern_competing[assignment],
         competing_interval_indices=[idx % num_intervals for idx in range(4)],
         name=f"dup-{num_users}-p{num_patterns}",
+    )
+
+
+def incompressible_instance(seed: int = 5) -> SESInstance:
+    """Continuous random rows: every user is its own pattern class."""
+    return make_random_instance(
+        num_users=120, num_events=30, num_intervals=6, seed=seed
     )
 
 
@@ -201,6 +212,22 @@ class TestBlockedPlanExactness:
         assert blocked.plan == "blocked"
         assert direct.plan == "direct"
 
+    @pytest.mark.parametrize("scheduler", ("INC", "HOR-I"))
+    def test_schedulers_bit_identical_across_plans_incompressible(self, scheduler):
+        """The declined-bound path: counters (``phi_bound_declined``
+        included) match across plans, whether the classes come from the
+        blocked plan's full mining or the engine's early-exit pass."""
+        instance = incompressible_instance()
+        results = {
+            plan: run_scheduler(scheduler, instance, 8, execution=execution_for(plan))
+            for plan in ("direct", "blocked")
+        }
+        direct, blocked = results["direct"], results["blocked"]
+        assert blocked.schedule.as_dict() == direct.schedule.as_dict()
+        assert blocked.utility == direct.utility
+        assert blocked.counters == direct.counters
+        assert "extra.phi_bound_evaluations" not in direct.counters
+
     @pytest.mark.parametrize("storage", ["sparse", "mmap"])
     def test_blocked_plan_bit_identical_across_storages(self, storage, tmp_path):
         instance = duplicate_heavy_instance(num_users=300, num_patterns=15)
@@ -215,6 +242,22 @@ class TestBlockedPlanExactness:
         assert other_blocked.schedule.as_dict() == dense_direct.schedule.as_dict()
         assert other_blocked.utility == dense_direct.utility
         assert other_blocked.counters == dense_direct.counters
+
+    @pytest.mark.parametrize("storage", ["sparse", "mmap"])
+    def test_declined_bound_bit_identical_across_storages(self, storage, tmp_path):
+        instance = incompressible_instance()
+        kwargs = {"directory": tmp_path} if storage == "mmap" else {}
+        converted = instance.with_storage(storage, **kwargs)
+        dense_direct = run_scheduler(
+            "INC", instance, 8, execution=execution_for("direct")
+        )
+        other_blocked = run_scheduler(
+            "INC", converted, 8, execution=execution_for("blocked")
+        )
+        assert other_blocked.schedule.as_dict() == dense_direct.schedule.as_dict()
+        assert other_blocked.utility == dense_direct.utility
+        assert other_blocked.counters == dense_direct.counters
+        assert dense_direct.counters.get("extra.phi_bound_declined") == 1
 
     def test_degenerate_structure_falls_back_to_direct(self):
         """All-distinct users: the plan detects the identity decomposition."""
@@ -273,29 +316,20 @@ class TestStructuralBound:
 
     def test_bounds_do_not_change_schedules(self):
         instance = duplicate_heavy_instance()
-        for cls in (IncScheduler, HorIScheduler):
-            results = {}
-            for bounded in (False, True):
-                scheduler = cls(
-                    instance,
-                    execution=execution_for("direct"),
-                    use_interval_bounds=bounded,
-                )
-                results[bounded] = scheduler.schedule(4)
-            assert (
-                results[True].schedule.as_dict() == results[False].schedule.as_dict()
+        results = {}
+        for bounded in (False, True):
+            scheduler = IncScheduler(
+                instance,
+                execution=execution_for("direct"),
+                use_interval_bounds=bounded,
             )
-            assert results[True].utility == results[False].utility
-            # The bound can only remove evaluations.
-            assert (
-                results[True].score_computations
-                <= results[False].score_computations
-            )
-            # The unbounded run never consults the bound.
-            assert (
-                results[False].counters.get("extra.phi_bound_interval_skips", 0)
-                == 0
-            )
+            results[bounded] = scheduler.schedule(4)
+        assert results[True].schedule.as_dict() == results[False].schedule.as_dict()
+        assert results[True].utility == results[False].utility
+        # The bound can only remove evaluations.
+        assert results[True].score_computations <= results[False].score_computations
+        # The unbounded run never consults the bound.
+        assert results[False].counters.get("extra.phi_bound_interval_skips", 0) == 0
 
     def test_bound_actually_prunes_on_skewed_instance(self):
         instance = duplicate_heavy_instance(num_users=900, num_patterns=40)
@@ -304,6 +338,73 @@ class TestStructuralBound:
         ).schedule(4)
         assert result.counters.get("extra.phi_bound_evaluations", 0) > 0
         assert result.counters.get("extra.phi_bound_interval_skips", 0) > 0
+
+    def test_bound_is_declined_on_incompressible_instance(self):
+        instance = incompressible_instance()
+        results = {
+            bounded: IncScheduler(
+                instance,
+                execution=execution_for("direct"),
+                use_interval_bounds=bounded,
+            ).schedule(8)
+            for bounded in (False, True)
+        }
+        declined, unbounded = results[True], results[False]
+        assert declined.counters.get("extra.phi_bound_evaluations", 0) == 0
+        assert declined.counters.get("extra.phi_bound_declined") == 1
+        assert declined.summary()["phi_bound_declined"] == 1
+        assert declined.schedule.as_dict() == unbounded.schedule.as_dict()
+        assert declined.utility == unbounded.utility
+        # Identical apart from the decline record itself.
+        counters = dict(declined.counters)
+        del counters["extra.phi_bound_declined"]
+        assert counters == unbounded.counters
+
+    def test_declined_bound_is_infinite(self):
+        engine = ScoringEngine(incompressible_instance(), execution=execution_for("direct"))
+        for interval_index in range(engine.instance.num_intervals):
+            assert engine.interval_score_bound(interval_index) == float("inf")
+        assert engine.counter.extra == {"phi_bound_declined": 1}
+
+    @pytest.mark.parametrize("chunk_size", [1, 4, 1000])
+    @pytest.mark.parametrize("num_patterns", [10, 20, 30, 40, 100, 400])
+    def test_early_exit_gate_matches_full_mining(self, num_patterns, chunk_size):
+        """P/U from 0.05 to 2, on both sides of the threshold: the gate's
+        early-exit pass declines exactly when the full mining's class ratio
+        is above it."""
+        instance = duplicate_heavy_instance(num_users=200, num_patterns=num_patterns)
+        full = mine_interest_structure(instance)
+        should_decline = (
+            full.num_classes > PHI_BOUND_MAX_CLASS_RATIO * instance.num_users
+        )
+        engine = ScoringEngine(
+            instance,
+            execution=ExecutionConfig(
+                backend="batch", plan="direct", chunk_size=chunk_size
+            ),
+        )
+        bound = engine.interval_score_bound(0)
+        declined = engine.counter.extra.get("phi_bound_declined", 0)
+        assert declined == int(should_decline)
+        assert (bound == float("inf")) == should_decline
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 1000])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_capped_mining_decides_like_full_mining(self, seed, chunk_size):
+        """Caps just around the exact class count: the capped pass exceeds
+        the cap iff full mining does, and below it returns the exact
+        structure."""
+        instance = duplicate_heavy_instance(num_users=300, num_patterns=40, seed=seed)
+        comp, sigma, values, _ = build_static_arrays(instance)
+        rows = build_event_rows(instance.interest.store, values)
+        full = mine_structure(rows, sigma, comp, chunk_size)
+        for cap in (0, 1, full.num_classes - 1, full.num_classes, full.num_classes + 1):
+            capped = mine_structure(rows, sigma, comp, chunk_size, max_classes=cap)
+            assert (capped.num_classes > cap) == (full.num_classes > cap)
+            if full.num_classes <= cap:
+                assert np.array_equal(capped.labels, full.labels)
+                assert np.array_equal(capped.representatives, full.representatives)
+                assert np.array_equal(capped.counts, full.counts)
 
 
 # --------------------------------------------------------------------------- #
@@ -368,39 +469,3 @@ class TestPlanRegistry:
             unregister_plan("tracing-test")
         with pytest.raises(SolverError, match="unknown scoring plan"):
             get_plan("tracing-test")
-
-
-# --------------------------------------------------------------------------- #
-# Greedy dense blocks (analysis artefact)
-# --------------------------------------------------------------------------- #
-class TestGreedyDenseBlocks:
-    def test_blocks_are_dense_and_sorted(self):
-        instance = duplicate_heavy_instance(num_users=200, num_patterns=12)
-        structure = mine_interest_structure(instance)
-        blocks = greedy_dense_blocks(instance, structure)
-        assert blocks, "no dense blocks mined from a duplicate-heavy instance"
-        areas = [block.area for block in blocks]
-        assert areas == sorted(areas, reverse=True)
-        store = instance.interest.store
-        for block in blocks[:5]:
-            events = set(block.events)
-            covered = 0
-            for class_index in block.classes:
-                representative = int(structure.representatives[class_index])
-                candidate = set(
-                    np.flatnonzero(store.row(representative) > 0.0).tolist()
-                )
-                # Density: every class in the block is interested in every
-                # block event.
-                assert events <= candidate
-                covered += int(structure.counts[class_index])
-            assert covered == block.num_users
-
-    def test_min_events_filters_sparse_classes(self):
-        instance = duplicate_heavy_instance(num_users=200, num_patterns=12)
-        unfiltered = greedy_dense_blocks(instance, min_events=1)
-        filtered = greedy_dense_blocks(
-            instance, min_events=instance.num_events + 1
-        )
-        assert len(filtered) <= len(unfiltered)
-        assert filtered == []
