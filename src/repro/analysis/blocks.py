@@ -60,11 +60,12 @@ def mine_interest_structure(
     matrix event block by event block (each block at most ``chunk_size``
     events — ``None`` derives the engine's default from the memory budget).
     Works unchanged over every registered storage: the event-row source
-    densifies sparse and mmap stores one block at a time.
+    densifies sparse and mmap stores once when their events fit in one chunk
+    and streams them one block at a time otherwise.
     """
     comp, sigma, values, _ = build_static_arrays(instance)
-    event_rows = build_event_rows(instance.interest.store, values)
     chunk = resolve_chunk_size(chunk_size, instance.num_users)
+    event_rows = build_event_rows(instance.interest.store, values, chunk)
     return mine_structure(event_rows, sigma, comp, chunk)
 
 
@@ -105,7 +106,7 @@ class BlockedPlan(ScoringPlan):
         """Mine the equivalence classes from the bound engine's arrays."""
         event_rows = engine._event_rows
         if event_rows is None:
-            event_rows = build_event_rows(engine._store, engine._values)
+            event_rows = build_event_rows(engine._store, engine._values, engine.chunk_size)
         self._structure = mine_structure(
             event_rows, engine._sigma, engine._comp, engine.chunk_size
         )

@@ -102,7 +102,7 @@ from repro.core.distributed.protocol import (
 )
 from repro.core.errors import SolverError
 from repro.core.execution import BatchBackend, ExecutionConfig, ProcessBackend
-from repro.core.storage import DenseEventRows, as_sparse
+from repro.core.storage import DenseStore, as_sparse
 
 #: Exceptions that mean "this worker (or its link) is gone" — the batch is
 #: re-dispatched instead of failing the run.
@@ -242,7 +242,9 @@ class ClusterBackend(ProcessBackend):
         arrays (``"csr"``); a file-backed instance ships only its path
         (``"file"``), fingerprinted by the file's bytes — chunk-read, never
         materialised — with :meth:`_csr_payload` as the byte-ship fallback
-        when the worker answers :data:`ERROR_FILE_UNAVAILABLE`.
+        when the worker answers :data:`ERROR_FILE_UNAVAILABLE`.  The kind
+        follows the store, not the engine's row source, so a sparse store the
+        engine densified once (``|E| ≤ chunk_size``) still ships as CSR.
         """
         if self._payload is None:
             engine = self.engine
@@ -250,7 +252,7 @@ class ClusterBackend(ProcessBackend):
             if engine._store.is_file_backed and backing_file is not None:
                 self._payload = {"kind": "file", "path": backing_file}
                 self._fingerprint = file_fingerprint(backing_file)
-            elif isinstance(engine._event_rows, DenseEventRows):
+            elif isinstance(engine._store, DenseStore):
                 mu_rows, value_mu_rows = engine._event_rows.arrays
                 arrays = {
                     "mu_rows": mu_rows,

@@ -70,6 +70,7 @@ from repro.core.distributed.protocol import (
 from repro.core.errors import SolverError
 from repro.core.storage import (
     DenseEventRows,
+    DenseStore,
     EventRowSource,
     MmapStore,
     SparseStore,
@@ -603,8 +604,10 @@ class BatchBackend(ExecutionBackend):
     def score_matrix(self, selector: Optional[np.ndarray]) -> np.ndarray:
         # Hoist the event-row selection out of the per-interval loop: the
         # selection is state-independent, so one row source serves every
-        # column (a dense source materialises the selection once; sparse and
-        # mmap sources re-densify per block, keeping memory bounded).
+        # column.  A dense source (dense stores, and sparse/mmap stores with
+        # |E| <= chunk_size, densified once per engine) materialises the
+        # selection once; a streamed sparse/mmap source re-densifies per
+        # block, keeping memory bounded.
         engine = self.engine
         source = engine._select_event_rows(selector)
         num_intervals = engine.instance.num_intervals
@@ -622,10 +625,10 @@ class BatchBackend(ExecutionBackend):
 
         The event axis is processed in blocks of at most :meth:`_block_step`
         rows, so the temporaries stay bounded on huge instances — for sparse
-        and memory-mapped storages each block is densified on demand and
-        dropped after its pass.  Each row's reduction is independent of the
-        others, so any block decomposition — serial or pooled, whatever the
-        split or storage — produces bit-identical scores.
+        and memory-mapped storages too large for one chunk each block is
+        densified on demand and dropped after its pass.  Each row's reduction
+        is independent of the others, so any block decomposition — serial or
+        pooled, whatever the split or storage — produces bit-identical scores.
         """
         engine = self.engine
         num_rows = source.num_rows
@@ -931,22 +934,24 @@ class ProcessBackend(BatchBackend):
         CSR arrays instead — the workers densify blocks on demand.  A
         file-backed (mmap) storage ships no matrix at all: the layout carries
         the backing file's path and the workers map it in place, so the only
-        shared copies are the per-interval competing/σ matrices.
+        shared copies are the per-interval competing/σ matrices.  The kind
+        follows the store, not the engine's row source: a sparse or mmap
+        store the engine densified once (``|E| ≤ chunk_size``) still ships
+        as CSR or as its path.
         """
         engine = self.engine
         statics = {
             "comp": np.ascontiguousarray(engine._comp),
             "sigma": np.ascontiguousarray(engine._sigma),
         }
-        rows = engine._event_rows
-        if isinstance(rows, DenseEventRows):
-            mu_rows, value_mu_rows = rows.arrays
+        store = engine._store
+        if isinstance(store, DenseStore):
+            mu_rows, value_mu_rows = engine._event_rows.arrays
             block, layout = _export_shared_arrays(
                 {"mu_rows": mu_rows, "value_mu_rows": value_mu_rows, **statics}
             )
             layout["kind"] = "dense"
             return block, layout
-        store = engine._store
         values = np.ascontiguousarray(engine._values)
         if store.is_file_backed:
             block, layout = _export_shared_arrays({**statics, "values": values})

@@ -48,6 +48,8 @@ Two facilities support the incremental schedulers and large instances:
   divided by ``|U|``), so million-user instances stay within a bounded memory
   envelope.  Chunking splits only the event axis — every row's per-user
   reduction is unchanged — so chunked and unchunked results are bit-identical.
+  A sparse or mmap store whose events all fit in one chunk is densified once
+  per engine instead (see :func:`build_event_rows`); larger ones stream.
 
 The engine also supports the §2.1 extensions: per-user weights (applied to σ)
 and per-event value multipliers / organisation costs (profit-oriented SES).
@@ -83,6 +85,7 @@ from repro.core.storage import (
     EventRowSource,
     InterestStore,
     StoreEventRows,
+    dense_capacity_limit,
 )
 
 #: Largest classes/users ratio at which the structural Φ bound
@@ -113,18 +116,32 @@ def build_static_arrays(instance: SESInstance):
     return comp, sigma, values, costs
 
 
-def build_event_rows(store: InterestStore, values: np.ndarray) -> EventRowSource:
+def build_event_rows(
+    store: InterestStore, values: np.ndarray, chunk_size: Optional[int] = None
+) -> EventRowSource:
     """The event-major row source the bulk strategies iterate.
 
     A dense store precomputes the contiguous ``µ.T`` and ``value·µ.T``
-    matrices once (today's behaviour, served as zero-copy views); sparse and
-    mmap stores densify one event block at a time through
+    matrices once, served as zero-copy views.  A sparse or mmap store is
+    densified the same way, once, when all its events fit in one chunk
+    (``|E| ≤ chunk_size``) and the matrix is within
+    :func:`~repro.core.storage.dense_capacity_limit`: every bulk pass would
+    materialise the whole matrix as a single block anyway, so keeping it
+    resident costs no memory beyond the chunk envelope and saves one
+    densification per scoring call.  Otherwise (or with ``chunk_size=None``)
+    the store is streamed one event block at a time through
     :class:`~repro.core.storage.StoreEventRows`, computing ``value·µ`` per
-    block — elementwise-identical to the dense precompute, so every backend
-    stays bit-identical across storages.
+    block.  Both forms hold the dense matrix's elements and
+    ``value·µ`` is the same elementwise product, so every backend stays
+    bit-identical across storages.
     """
-    if isinstance(store, DenseStore):
-        mu_rows = np.ascontiguousarray(store.to_dense().T)
+    fits_one_chunk = (
+        chunk_size is not None
+        and store.num_items <= chunk_size
+        and store.size <= dense_capacity_limit()
+    )
+    if isinstance(store, DenseStore) or fits_one_chunk:
+        mu_rows = store.item_rows(0, store.num_items)
         return DenseEventRows(mu_rows, values[:, np.newaxis] * mu_rows)
     return StoreEventRows(store, values)
 
@@ -209,10 +226,12 @@ class ScoringEngine:
             # per-user column, contiguous so that the per-row reductions of
             # the bulk strategies use the same pairwise summation as the
             # scalar path's 1-D sums (keeping the backends bit-identical).
-            # Dense stores precompute both matrices once; sparse/mmap stores
-            # densify per block so memory stays bounded by the chunk size.
+            # Dense stores precompute both matrices once, and so do
+            # sparse/mmap stores whose events fit in one chunk; larger
+            # sparse/mmap stores are streamed block by block so memory stays
+            # bounded by the chunk size.
             self._event_rows: Optional[EventRowSource] = build_event_rows(
-                self._store, self._values
+                self._store, self._values, self._execution.chunk_size
             )
         else:
             self._event_rows = None
@@ -589,7 +608,7 @@ class ScoringEngine:
             max_classes = min(max_classes, DEFAULT_CHUNK_ELEMENTS // num_events)
         source = self._event_rows
         if source is None:
-            source = build_event_rows(self._store, self._values)
+            source = build_event_rows(self._store, self._values, self._execution.chunk_size)
         structure = self._plan_impl.mined_structure()
         if structure is None:
             structure = mine_structure(

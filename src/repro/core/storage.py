@@ -16,10 +16,12 @@ module turns the representation into a strategy:
 Stores register by name through :func:`register_store`, mirroring the
 execution layer's ``register_backend()`` registry, so external code can plug
 in new representations.  The scoring kernels consume stores through
-:class:`EventRowSource`, which yields event-major row blocks; sparse and
-mmap stores densify one block at a time (bounded by the engine's chunk
-size), feed the *same* kernel as the dense path and therefore produce
-bit-identical scores, utilities, schedules and counters.
+:class:`EventRowSource`, which yields event-major row blocks.  A sparse or
+mmap store is densified once per engine when all its events fit in one chunk
+(``|E| ≤ chunk_size``) and streamed one block at a time otherwise (bounded by
+the engine's chunk size); either way it feeds the *same* kernel as the dense
+path and therefore produces bit-identical scores, utilities, schedules and
+counters.
 
 ``CSR`` here is always event-major: row ``e`` of the CSR holds the non-zero
 ``µ(u, e)`` entries of event ``e`` over users, because the scoring kernels
@@ -471,12 +473,29 @@ class SparseStore(InterestStore):
         out[self._indices[lo:hi]] = self._data[lo:hi]
         return out
 
+    def _gather(self, item_indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scatter coordinates of the selected items' entries.
+
+        Returns ``(positions, users, data)``: ``positions[k]`` is the index
+        into the ``int64`` array ``item_indices`` of the k-th gathered entry,
+        ``users[k]`` its user and ``data[k]`` its value.  Indices may repeat
+        or come in any order; each occurrence gathers its item's entries
+        again.
+        """
+        starts = np.asarray(self._indptr[item_indices], dtype=np.int64)
+        lengths = np.asarray(self._indptr[item_indices + 1], dtype=np.int64) - starts
+        positions = np.repeat(np.arange(item_indices.shape[0]), lengths)
+        # Entry k of the gather sits at its item's start plus its offset
+        # within the item's run.
+        run_starts = np.cumsum(lengths) - lengths
+        entries = np.repeat(starts - run_starts, lengths) + np.arange(positions.shape[0])
+        return positions, self._indices[entries], self._data[entries]
+
     def columns(self, item_indices: Sequence[int]) -> np.ndarray:
         item_indices = np.asarray(item_indices, dtype=np.int64)
         out = np.zeros((self._shape[0], item_indices.shape[0]), dtype=np.float64)
-        for position, item_index in enumerate(item_indices):
-            lo, hi = int(self._indptr[item_index]), int(self._indptr[item_index + 1])
-            out[self._indices[lo:hi], position] = self._data[lo:hi]
+        positions, users, data = self._gather(item_indices)
+        out[users, positions] = data
         return out
 
     def item_rows(self, start: int, stop: int) -> np.ndarray:
@@ -490,9 +509,8 @@ class SparseStore(InterestStore):
     def item_rows_at(self, item_indices: np.ndarray) -> np.ndarray:
         item_indices = np.asarray(item_indices, dtype=np.int64)
         out = np.zeros((item_indices.shape[0], self._shape[0]), dtype=np.float64)
-        for position, item_index in enumerate(item_indices):
-            lo, hi = int(self._indptr[item_index]), int(self._indptr[item_index + 1])
-            out[position, self._indices[lo:hi]] = self._data[lo:hi]
+        positions, users, data = self._gather(item_indices)
+        out[positions, users] = data
         return out
 
     def row(self, user_index: int) -> np.ndarray:
@@ -854,10 +872,12 @@ class EventRowSource:
 
     The scoring kernels iterate events in blocks; a row source yields, for
     rows ``[start, stop)``, the pair ``(mu_rows, value_mu_rows)`` where
-    ``value_mu_rows[r] = value(event_r) * mu_rows[r]``.  The dense engine
-    precomputes both matrices once and serves views; sparse and mmap stores
-    densify one block at a time, so peak memory is bounded by the chunk size
-    regardless of the instance size.
+    ``value_mu_rows[r] = value(event_r) * mu_rows[r]``.  Dense stores, and
+    sparse or mmap stores whose events fit in one chunk
+    (``|E| ≤ chunk_size``), are densified once per engine into
+    :class:`DenseEventRows` that serve views; larger sparse and mmap stores
+    stream through :class:`StoreEventRows` one block at a time, so peak
+    memory is bounded by the chunk size regardless of the instance size.
     """
 
     #: Whether blocks are zero-copy views over precomputed dense arrays.
@@ -906,9 +926,11 @@ class DenseEventRows(EventRowSource):
 class StoreEventRows(EventRowSource):
     """Blocks densified on demand from a sparse or memory-mapped store.
 
-    ``value_mu_rows`` is computed per block as ``values[:, None] * mu_rows``
-    — elementwise-identical to the dense engine's precompute-then-slice, so
-    scores stay bit-identical.
+    The streamed form, used when the store's events do not fit in one chunk
+    (``|E| > chunk_size``); a store that fits is densified once per engine
+    into :class:`DenseEventRows` instead.  ``value_mu_rows`` is computed per
+    block as ``values[:, None] * mu_rows`` — elementwise-identical to the
+    dense engine's precompute-then-slice, so scores stay bit-identical.
     """
 
     __slots__ = ("_store", "_event_values", "_indices")

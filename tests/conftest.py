@@ -37,6 +37,17 @@ TEST_STORAGE = os.environ.get("REPRO_TEST_STORAGE", "")
 #: win, and non-bulk backends still pin to ``direct``.
 TEST_PLAN = os.environ.get("REPRO_TEST_PLAN", "")
 
+#: Chunk memory budget (elements) every engine without an explicit
+#: ``chunk_size`` derives its chunk from.  The test instances are small, so
+#: under the library default every sparse/mmap store fits in one chunk and is
+#: densified once per engine; CI sets ``REPRO_TEST_CHUNK_ELEMENTS`` to a few
+#: hundred elements to push them through the streamed block-by-block path
+#: instead.  Implemented by patching
+#: :data:`repro.core.execution.DEFAULT_CHUNK_ELEMENTS`, which
+#: ``resolve_chunk_size`` consults at resolution time — explicit
+#: ``chunk_size=`` pins in individual tests still win.
+TEST_CHUNK_ELEMENTS = os.environ.get("REPRO_TEST_CHUNK_ELEMENTS", "")
+
 
 @pytest.fixture(autouse=True)
 def _apply_test_plan(monkeypatch):
@@ -45,6 +56,16 @@ def _apply_test_plan(monkeypatch):
         from repro.core import execution
 
         monkeypatch.setattr(execution, "DEFAULT_PLAN", TEST_PLAN)
+    yield
+
+
+@pytest.fixture(autouse=True)
+def _apply_test_chunk_elements(monkeypatch):
+    """Derive default chunk sizes from the suite-wide ``REPRO_TEST_CHUNK_ELEMENTS``."""
+    if TEST_CHUNK_ELEMENTS:
+        from repro.core import execution
+
+        monkeypatch.setattr(execution, "DEFAULT_CHUNK_ELEMENTS", int(TEST_CHUNK_ELEMENTS))
     yield
 
 

@@ -154,6 +154,30 @@ class TestAccessorEquality:
             picked = np.array([8, 1, 1, 5])
             assert np.array_equal(store.item_rows_at(picked), transposed[picked])
 
+    @pytest.mark.parametrize(
+        "picked",
+        [[6, 0, 8, 3, 1, 7, 2, 5, 4], [5, 5, 0, 5, 2], [3], []],
+        ids=["shuffled", "duplicated", "single", "empty"],
+    )
+    def test_vectorised_gathers_match_dense_gather(self, tmp_path, picked):
+        # Item 3 has no entries at all, so the gathers cross empty CSR rows.
+        values = reference_matrix(seed=9)
+        values[:, 3] = 0.0
+        dense = DenseStore(np.array(values))
+        indices = np.asarray(picked, dtype=np.int64)
+        by_name = all_stores(values, tmp_path)
+        for name in ("sparse", "mmap"):
+            store = by_name[name]
+            for got, expect in (
+                (store.columns(picked), dense.columns(picked)),
+                (store.item_rows_at(indices), dense.item_rows_at(indices)),
+            ):
+                assert got.shape == expect.shape, name
+                assert np.array_equal(got, expect), name
+                # C order keeps the competing-sum reduction's bits.
+                assert got.flags.c_contiguous, name
+                assert got.dtype == np.float64
+
     def test_statistics(self, stores):
         values, by_name = stores
         for store in by_name.values():

@@ -18,7 +18,12 @@ that down:
   the instance bytes under the same fingerprint, bit-identically;
 * the protocol v3 primitives themselves: chunked fingerprints (chunk size
   must not change the digest), file fingerprints, and
-  ``build_instance_record`` over every payload kind.
+  ``build_instance_record`` over every payload kind;
+* the residency rule: a sparse/mmap store whose events fit in one chunk is
+  densified once per engine, a larger one streams with no store request
+  above ``chunk_size`` rows, and densified, streamed and dense engines agree
+  bit for bit — while process layouts and cluster payloads keep following
+  the store (``"file"`` for mmap, CSR for sparse), not the row source.
 
 Run the whole suite under ``REPRO_TEST_STORAGE=sparse`` / ``mmap`` to push
 every helper-built instance in every *other* test file through the same
@@ -50,9 +55,16 @@ from repro.core.distributed.worker import (
 )
 from repro.core.errors import SolverError
 from repro.core.execution import ExecutionConfig
+from repro.core.instance import SESInstance
 from repro.core.instance_io import spill_instance
 from repro.core.scoring import ScoringEngine, build_event_rows, build_static_arrays
-from repro.core.storage import DenseEventRows, MmapStore, StoreEventRows, as_sparse
+from repro.core.storage import (
+    DenseEventRows,
+    MmapStore,
+    SparseStore,
+    StoreEventRows,
+    as_sparse,
+)
 from tests.conftest import make_random_instance
 
 STORAGES = ("dense", "sparse", "mmap")
@@ -130,6 +142,172 @@ class TestEngineEquivalence:
             snapshots[name] = engine.counter.snapshot()
         assert snapshots["sparse"] == snapshots["dense"]
         assert snapshots["mmap"] == snapshots["dense"]
+
+
+# --------------------------------------------------------------------------- #
+# Densify once vs stream: the |E| <= chunk_size residency rule
+# --------------------------------------------------------------------------- #
+def patterned_sparse_instance(seed: int = 340, num_users: int = 60, num_events: int = 10):
+    """Users drawn from a few (µ, σ, comp) patterns, with exact interest zeros.
+
+    Repeated patterns give the ``blocked`` plan and the Φ bound something to
+    compress; the zeros give the CSR stores empty cells and an empty event.
+    """
+    rng = np.random.default_rng(seed)
+    num_patterns, num_intervals = 6, 4
+    interest = rng.random((num_patterns, num_events))
+    interest[interest < 0.4] = 0.0
+    interest[:, 3] = 0.0
+    activity = rng.random((num_patterns, num_intervals)) * np.geomspace(
+        1.0, 0.1, num_intervals
+    )
+    competing = rng.random((num_patterns, 4))
+    members = rng.integers(0, num_patterns, num_users)
+    return SESInstance.from_arrays(
+        interest=interest[members],
+        activity=activity[members],
+        competing_interest=competing[members],
+        competing_interval_indices=[index % num_intervals for index in range(4)],
+        name=f"patterned-sparse-{seed}",
+    )
+
+
+def _storage_of(instance, storage, tmp_path):
+    if storage == "mmap":
+        return instance.with_storage("mmap", directory=tmp_path / "mmap")
+    return instance.with_storage(storage)
+
+
+class TestDensifyOnce:
+    @pytest.mark.parametrize("storage", ["sparse", "mmap"])
+    def test_rows_densified_only_when_all_events_fit_one_chunk(
+        self, tmp_path, monkeypatch, storage
+    ):
+        instance = _storage_of(patterned_sparse_instance(), storage, tmp_path)
+        num_events = instance.num_events
+
+        def rows_for(chunk_size):
+            engine = ScoringEngine(
+                instance, execution=ExecutionConfig(chunk_size=chunk_size)
+            )
+            return engine._event_rows
+
+        default_chunk = ScoringEngine(instance).chunk_size
+        fits = DenseEventRows if num_events <= default_chunk else StoreEventRows
+        assert isinstance(rows_for(None), fits)
+        assert isinstance(rows_for(num_events), DenseEventRows)
+        assert isinstance(rows_for(num_events - 1), StoreEventRows)
+        # The dense-capacity guard still applies: over it, the store streams.
+        monkeypatch.setenv("REPRO_DENSE_CAPACITY", str(instance.interest.store.size - 1))
+        assert isinstance(rows_for(num_events), StoreEventRows)
+        # Without a chunk size the builder keeps streaming (the worker side).
+        values = build_static_arrays(instance)[2]
+        assert isinstance(build_event_rows(instance.interest.store, values), StoreEventRows)
+
+    @pytest.mark.parametrize("plan", ["direct", "blocked"])
+    @pytest.mark.parametrize("storage", ["sparse", "mmap"])
+    @pytest.mark.parametrize("scheduler", ["ALG", "INC", "HOR", "HOR-I"])
+    def test_densified_streamed_and_dense_agree(self, tmp_path, scheduler, storage, plan):
+        dense = patterned_sparse_instance().with_storage("dense")
+        stored = _storage_of(dense, storage, tmp_path)
+        num_events = dense.num_events
+        legs = {
+            "dense": (dense, num_events),
+            "densified": (stored, num_events),
+            "streamed": (stored, num_events - 1),
+        }
+        grids, results = {}, {}
+        for leg, (instance, chunk_size) in legs.items():
+            execution = ExecutionConfig(plan=plan, chunk_size=chunk_size)
+            engine = ScoringEngine(instance, execution=execution)
+            expected_rows = StoreEventRows if leg == "streamed" else DenseEventRows
+            assert isinstance(engine._event_rows, expected_rows), leg
+            grids[leg] = engine.score_matrix(initial=True)
+            results[leg] = run_scheduler(scheduler, instance, 6, execution=execution)
+        for leg in ("densified", "streamed"):
+            assert np.array_equal(grids[leg], grids["dense"]), leg
+            result, reference = results[leg], results["dense"]
+            assert result.schedule.as_dict() == reference.schedule.as_dict(), leg
+            assert result.utility == reference.utility, leg
+            assert result.counters == reference.counters, leg
+
+    @pytest.mark.parametrize("plan", ["direct", "blocked"])
+    @pytest.mark.parametrize("storage", ["sparse", "mmap"])
+    def test_streamed_row_requests_stay_within_one_chunk(
+        self, tmp_path, monkeypatch, storage, plan
+    ):
+        instance = _storage_of(patterned_sparse_instance(), storage, tmp_path)
+        chunk_size = 3
+        assert instance.num_events > chunk_size
+        requested = []
+        item_rows, item_rows_at = SparseStore.item_rows, SparseStore.item_rows_at
+
+        def tracked_item_rows(store, start, stop):
+            requested.append(stop - start)
+            return item_rows(store, start, stop)
+
+        def tracked_item_rows_at(store, item_indices):
+            requested.append(len(item_indices))
+            return item_rows_at(store, item_indices)
+
+        monkeypatch.setattr(SparseStore, "item_rows", tracked_item_rows)
+        monkeypatch.setattr(SparseStore, "item_rows_at", tracked_item_rows_at)
+        execution = ExecutionConfig(plan=plan, chunk_size=chunk_size)
+        for scheduler in ("ALG", "INC", "HOR", "HOR-I"):
+            run_scheduler(scheduler, instance, 6, execution=execution)
+        assert requested, "the streamed path never reached the store"
+        assert max(requested) <= chunk_size
+
+
+# --------------------------------------------------------------------------- #
+# Store-keyed shipping: the row source no longer tells the storage apart
+# --------------------------------------------------------------------------- #
+class TestShippingKeysOnTheStore:
+    @pytest.mark.parametrize(
+        "storage, kind", [("dense", "dense"), ("sparse", "sparse"), ("mmap", "file")]
+    )
+    def test_process_layout_kind_when_rows_are_densified(self, tmp_path, storage, kind):
+        instance = _storage_of(patterned_sparse_instance(), storage, tmp_path)
+        engine = ScoringEngine(
+            instance,
+            execution=ExecutionConfig(
+                backend="process", workers=2, chunk_size=instance.num_events
+            ),
+        )
+        try:
+            # The instance fits one chunk, so the parent densifies it once …
+            assert isinstance(engine._event_rows, DenseEventRows)
+            # … but the shared layout still follows the store.
+            block, layout = engine.execution_backend._shared_layout()
+            try:
+                assert layout["kind"] == kind
+                if kind != "dense":
+                    assert "mu_rows" not in {entry[0] for entry in layout["entries"]}
+                if kind == "file":
+                    assert layout["path"] == instance.interest.store.path
+            finally:
+                block.close()
+                block.unlink()
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize(
+        "storage, kind", [("dense", "arrays"), ("sparse", "csr"), ("mmap", "file")]
+    )
+    def test_cluster_payload_kind_when_rows_are_densified(self, tmp_path, storage, kind):
+        instance = _storage_of(patterned_sparse_instance(), storage, tmp_path)
+        engine = ScoringEngine(
+            instance,
+            execution=ExecutionConfig(backend="cluster", chunk_size=instance.num_events),
+        )
+        try:
+            assert isinstance(engine._event_rows, DenseEventRows)
+            _, payload = engine.execution_backend._instance_payload()
+            assert payload["kind"] == kind
+            if kind == "file":
+                assert payload["path"] == instance.backing_file
+        finally:
+            engine.close()
 
 
 # --------------------------------------------------------------------------- #
